@@ -1,25 +1,23 @@
 // Kernel-backend benchmark: observation-sweep throughput per KernelBackend
 // (scalar reference vs the AVX2/NEON SIMD paths of src/core/kernels/) and
-// per weight representation (fp32, fp32-compute/fp16-store, native fp16).
+// per weight representation (fp32, fp32-compute/fp16-store, native fp16),
+// plus the motion step per backend at 1024, 4096 and 16384 particles.
 //
-// Self-contained (no Google Benchmark): each variant times repeated
+// Self-contained (no Google Benchmark): each sweep variant times repeated
 // observation_update() calls over the evaluation grid, resetting the
 // particle cloud between iterations OUTSIDE the timed region so weight
-// underflow (and denormal arithmetic) cannot skew the numbers. Iteration
-// counts auto-calibrate to a minimum timed duration.
+// underflow (and denormal arithmetic) cannot skew the numbers; each
+// motion row times repeated motion_update() calls on one cloud.
+// Iteration counts auto-calibrate to a minimum timed duration.
 //
 // The committed artifact is BENCH_kernels.json (--json). Threshold gates
 // (exit code 1 on violation, so CI fails loudly instead of silently
 // regressing):
-//   * AVX2 plain-path throughput >= 2.0x scalar (when AVX2 is supported).
+//   * AVX2 plain-path sweep throughput >= 2.0x scalar (when AVX2 is
+//     supported).
+//   * AVX2 motion_update >= 2.0x scalar at 4096 particles — fails if the
+//     motion step falls back to the scalar reference.
 //   * Every SIMD variant >= 1.0x its scalar counterpart.
-//
-// The report ends with a projected GAP9 impact: the observation phase's
-// calibrated per-particle L1 compute cost is divided by the measured
-// host speedup (the L2-traffic term and the fixed fork-join costs are
-// deliberately left untouched — vectorization buys arithmetic, not
-// memory), then the full update latency and energy are re-evaluated with
-// the platform timing/power models.
 
 #include <algorithm>
 #include <chrono>
@@ -33,8 +31,6 @@
 
 #include "core/particle_filter.hpp"
 #include "map/rasterize.hpp"
-#include "platform/gap9_power.hpp"
-#include "platform/gap9_timing.hpp"
 #include "sim/maze.hpp"
 
 using namespace tofmcl;
@@ -65,7 +61,8 @@ Args parse(int argc, char** argv) {
     };
     if (is("--help") || is("-h")) {
       std::printf(
-          "bench_kernels — observation-sweep throughput per kernel backend\n"
+          "bench_kernels — observation-sweep and motion throughput per "
+          "kernel backend\n"
           "  --particles N   particles per filter (default 4096)\n"
           "  --beams N       beams per observation update (default 16)\n"
           "  --min-seconds S timed duration floor per variant (default 0.4)\n"
@@ -175,6 +172,60 @@ Entry run_variant(const Args& args, kernels::KernelBackend backend,
   return e;
 }
 
+/// One measured motion_update configuration.
+struct MotionEntry {
+  std::size_t particles = 0;
+  std::string backend;
+  double seconds = 0.0;
+  std::size_t iterations = 0;
+  double us_per_update = 0.0;
+  double speedup_vs_scalar = 1.0;
+};
+
+/// Times motion_update() on one uniform cloud until `min_seconds` of
+/// timed work accumulate. A gate-sized odometry delta keeps the noise at
+/// its configured σ; yaws stay wrapped, so no iteration leaves the
+/// kernel's fast path more than a real flight would.
+MotionEntry run_motion(const Args& args, kernels::KernelBackend backend,
+                       std::size_t particles) {
+  const auto& grid = evaluation_grid();
+  const map::QuantizedDistanceMap dmap(grid, 1.5);
+  core::MclConfig cfg;
+  cfg.num_particles = particles;
+  core::SerialExecutor exec;
+  core::ParticleFilter<core::Fp32QmTraits> pf(dmap, cfg, exec);
+  pf.set_kernel_backend(backend);
+  pf.init_uniform(grid.free_cell_centers(), 0.025);
+  const Pose2 delta{0.08, 0.01, 0.03};
+
+  MotionEntry e;
+  e.particles = particles;
+  e.backend = kernels::to_string(backend);
+  std::size_t iters = 0;
+  double timed = 0.0;
+  while (timed < args.min_seconds || iters < 4) {
+    const double t0 = now_seconds();
+    pf.motion_update(delta);
+    timed += now_seconds() - t0;
+    ++iters;
+  }
+  e.seconds = timed;
+  e.iterations = iters;
+  e.us_per_update = timed / static_cast<double>(iters) * 1e6;
+  return e;
+}
+
+void json_motion_entry(std::ofstream& os, const MotionEntry& e, bool last) {
+  os << "    {\n"
+     << "      \"particles\": " << e.particles << ",\n"
+     << "      \"backend\": \"" << e.backend << "\",\n"
+     << "      \"seconds\": " << e.seconds << ",\n"
+     << "      \"iterations\": " << e.iterations << ",\n"
+     << "      \"us_per_update\": " << e.us_per_update << ",\n"
+     << "      \"speedup_vs_scalar\": " << e.speedup_vs_scalar << "\n"
+     << "    }" << (last ? "\n" : ",\n");
+}
+
 void json_entry(std::ofstream& os, const Entry& e, bool last) {
   os << "    {\n"
      << "      \"variant\": \"" << e.variant << "\",\n"
@@ -253,7 +304,40 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Motion rows: the same backends at three cloud sizes.
+  constexpr std::size_t kMotionGateParticles = 4096;
+  std::vector<MotionEntry> motion_entries;
+  double avx2_motion_speedup = 0.0;
+  for (const std::size_t n : {std::size_t{1024}, kMotionGateParticles,
+                              std::size_t{16384}}) {
+    double scalar_us = 0.0;
+    for (const auto backend : backends) {
+      // NEON has no motion kernel (it runs the scalar reference).
+      if (backend == kernels::KernelBackend::kNeon) continue;
+      MotionEntry e = run_motion(args, backend, n);
+      if (backend == kernels::KernelBackend::kScalar) {
+        scalar_us = e.us_per_update;
+      } else {
+        e.speedup_vs_scalar = scalar_us / e.us_per_update;
+        if (n == kMotionGateParticles &&
+            backend == kernels::KernelBackend::kAvx2) {
+          avx2_motion_speedup = e.speedup_vs_scalar;
+        }
+        if (e.speedup_vs_scalar < 1.0) {
+          gates_pass = false;
+          gate_failures.push_back("motion/" + std::to_string(n) + "/" +
+                                  e.backend + " slower than scalar");
+        }
+      }
+      std::printf("%-16s %-10zu %-7s %12.1f us/update          (%5.2fx)\n",
+                  "motion", n, e.backend.c_str(), e.us_per_update,
+                  e.speedup_vs_scalar);
+      motion_entries.push_back(std::move(e));
+    }
+  }
+
   constexpr double kAvx2MinSpeedup = 2.0;
+  constexpr double kAvx2MotionMinSpeedup = 2.0;
   const bool avx2_supported =
       kernels::backend_supported(kernels::KernelBackend::kAvx2);
   if (avx2_supported && avx2_plain_speedup < kAvx2MinSpeedup) {
@@ -264,37 +348,16 @@ int main(int argc, char** argv) {
                   avx2_plain_speedup, kAvx2MinSpeedup);
     gate_failures.emplace_back(buf);
   }
-
-  // --- GAP9 projection -------------------------------------------------
-  // The measured best-backend speedup is applied to the observation
-  // phase's per-particle L1 compute cost; everything else (fixed costs,
-  // L2 traffic, the other three phases, the 40 us update constant) stays
-  // calibrated. This mirrors what GAP9's own 8-lane fp16 SIMD would buy:
-  // arithmetic throughput, not memory bandwidth.
-  const platform::Gap9TimingModel baseline =
-      platform::calibrated_timing_model();
-  platform::Gap9TimingModel projected = baseline;
-  const double obs_speedup = std::max(avx2_plain_speedup, 1.0);
-  projected.observation.per_particle_l1 /= obs_speedup;
-  const std::size_t gap9_particles = args.particles;
-  const std::size_t bytes_per_particle = 16;  // fp16 particle layout.
-  const platform::Placement placement = platform::placement_for(
-      gap9_particles * bytes_per_particle, baseline.spec);
-  const double freq = baseline.spec.max_frequency_mhz;
-  const double base_update_us =
-      baseline.update_ns(gap9_particles, 8, placement, freq) / 1e3;
-  const double proj_update_us =
-      projected.update_ns(gap9_particles, 8, placement, freq) / 1e3;
-  const platform::Gap9PowerModel power;
-  const double base_energy_uj =
-      power.update_energy_uj(baseline, gap9_particles, 8, placement, freq);
-  const double proj_energy_uj =
-      power.update_energy_uj(projected, gap9_particles, 8, placement, freq);
-  std::printf(
-      "gap9 projection (%zu particles, 8 cores, %s, %.0f MHz):\n"
-      "  update: %.1f us -> %.1f us   energy: %.2f uJ -> %.2f uJ\n",
-      gap9_particles, placement == platform::Placement::kL1 ? "L1" : "L2",
-      freq, base_update_us, proj_update_us, base_energy_uj, proj_energy_uj);
+  if (avx2_supported && avx2_motion_speedup < kAvx2MotionMinSpeedup) {
+    gates_pass = false;
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "avx2 motion speedup %.2fx at %zu particles below the "
+                  "%.1fx gate",
+                  avx2_motion_speedup, kMotionGateParticles,
+                  kAvx2MotionMinSpeedup);
+    gate_failures.emplace_back(buf);
+  }
 
   for (const std::string& f : gate_failures) {
     std::fprintf(stderr, "GATE FAILED: %s\n", f.c_str());
@@ -320,24 +383,21 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
       json_entry(js, entries[i], i + 1 == entries.size());
     }
+    js << "  ],\n  \"motion\": [\n";
+    for (std::size_t i = 0; i < motion_entries.size(); ++i) {
+      json_motion_entry(js, motion_entries[i],
+                        i + 1 == motion_entries.size());
+    }
     js << "  ],\n"
        << "  \"gates\": {\n"
        << "    \"avx2_min_speedup\": " << kAvx2MinSpeedup << ",\n"
        << "    \"avx2_fp32qm_speedup\": " << avx2_plain_speedup << ",\n"
+       << "    \"avx2_motion_min_speedup\": " << kAvx2MotionMinSpeedup
+       << ",\n"
+       << "    \"avx2_motion_speedup_4096\": " << avx2_motion_speedup
+       << ",\n"
        << "    \"simd_not_slower_than_scalar\": true,\n"
        << "    \"pass\": " << (gates_pass ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"gap9_projection\": {\n"
-       << "    \"particles\": " << gap9_particles << ",\n"
-       << "    \"cores\": 8,\n"
-       << "    \"placement\": \""
-       << (placement == platform::Placement::kL1 ? "L1" : "L2") << "\",\n"
-       << "    \"frequency_mhz\": " << freq << ",\n"
-       << "    \"observation_compute_speedup\": " << obs_speedup << ",\n"
-       << "    \"baseline_update_us\": " << base_update_us << ",\n"
-       << "    \"projected_update_us\": " << proj_update_us << ",\n"
-       << "    \"baseline_update_energy_uj\": " << base_energy_uj << ",\n"
-       << "    \"projected_update_energy_uj\": " << proj_energy_uj << "\n"
        << "  }\n"
        << "}\n";
     std::printf("wrote %s\n", args.json_path);

@@ -27,6 +27,24 @@ inline double wrap_pi(double angle) {
   return angle;
 }
 
+/// wrap_pi of a binary32 angle, rounded back to binary32 — the particle
+/// yaw wrap. For |a| < 3π (every motion step of a wrapped yaw) one
+/// conditional add of ∓2π gives std::remainder's result exactly: the
+/// quotient's nearest integer is ±1 or 0, and a − 2π is exact in double
+/// by Sterbenz's lemma for a in [π, 4π] (likewise a + 2π), while a float
+/// never equals ±π or ±3π in double. Wider angles take the general path.
+/// The vector motion kernels compute the same two branches lane-wise.
+inline float wrap_pi_f(float angle) {
+  double a = static_cast<double>(angle);
+  if (!(std::abs(a) < 3.0 * kPi)) return static_cast<float>(wrap_pi(a));
+  if (a > kPi) {
+    a -= kTwoPi;
+  } else if (a <= -kPi) {
+    a += kTwoPi;
+  }
+  return static_cast<float>(a);
+}
+
 /// Wrap an angle to [0, 2π).
 inline double wrap_two_pi(double angle) {
   angle = std::fmod(angle, kTwoPi);

@@ -2,12 +2,17 @@
 /// \file rng.hpp
 /// \brief Deterministic, seedable random number generation.
 ///
-/// All stochastic components (motion noise, sensor noise, resampling,
-/// particle initialization) draw from this generator so that every
-/// experiment in the paper-reproduction suite is reproducible from a single
-/// seed. The engine is xoshiro256++ (small state, excellent statistical
-/// quality, trivially portable), seeded through SplitMix64 as recommended by
-/// its authors.
+/// The simulation side — sensor noise, sequence and world generation,
+/// campaigns, experiment seeding — draws from this generator, so every
+/// experiment in the paper-reproduction suite is reproducible from a
+/// single seed. The engine is xoshiro256++ (small state, excellent
+/// statistical quality, trivially portable), seeded through SplitMix64 as
+/// recommended by its authors.
+///
+/// The particle filter does not use it: its initialization, motion noise,
+/// resampling wheel and recovery injection are counter-based Philox draws
+/// keyed by (seed, step, index) (philox.hpp), so they do not depend on
+/// the chunk count, the executor or the SIMD backend.
 
 #include <array>
 #include <cmath>

@@ -9,7 +9,7 @@
 ///     identical for every session localizing on the same map. One copy,
 ///     pointer-shared (see scoring_context.hpp).
 ///   * the FILTER STATE — the particle cloud, its double buffer, the
-///     per-chunk RNG streams, the pose estimate and the Augmented-MCL
+///     draw step counter, the pose estimate and the Augmented-MCL
 ///     recovery monitor. Kilobytes, mutated every correction, unique per
 ///     session.
 ///
@@ -25,16 +25,16 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/geometry.hpp"
-#include "common/rng.hpp"
 #include "core/particle_soa.hpp"
 
 namespace tofmcl::core {
 
-/// Upper bound on the logical chunk count (work distribution and RNG
-/// streams); the prefix-sum scratch is statically sized by it.
+/// Upper bound on the logical chunk count (work distribution); the
+/// prefix-sum scratch is statically sized by it.
 inline constexpr std::size_t kMaxChunks = 64;
 
 /// Filter output: the weighted-average pose plus dispersion measures used
@@ -81,8 +81,8 @@ struct BeamAux {
 /// Everything a running filter mutates, in one relocatable aggregate.
 ///
 /// Serialization contract (ParticleFilter::save_state): `particles`,
-/// `rngs` + `resample_rng`, `estimate`, `monitor` and `blind_streak` are
-/// the persistent state; everything else is scratch that the next update
+/// `step`, `estimate`, `monitor` and `blind_streak` are the persistent
+/// state; everything else is scratch that the next update
 /// fully rewrites (`back_buffer` is repartitioned by every resample,
 /// `beam_aux`/chunk sums are per-update) or bookkeeping of the storage
 /// itself (`block_capacity`) and is deliberately NOT serialized.
@@ -94,8 +94,11 @@ struct FilterState {
   /// are plain heap vectors (no arena).
   std::size_t block_capacity = 0;
 
-  std::vector<Rng> rngs;    ///< One stream per chunk.
-  Rng resample_rng{0};      ///< Spins the systematic wheel.
+  /// Draw step: the Philox counter's step word (common/philox.hpp),
+  /// advanced once per randomized filter call. With the seed and a
+  /// particle index it determines every random draw, so it is the
+  /// filter's whole generator state — independent of the chunk count.
+  std::uint64_t step = 0;
 
   PoseEstimate estimate;
   UpdateWorkload workload;

@@ -3,18 +3,19 @@
 /// \brief Runtime-dispatched SIMD backend selection for the hot kernels.
 ///
 /// The scalar code in particle_filter.hpp is the determinism reference —
-/// it is what every committed trace (TOFMCL_SCENARIO_TRACE /
-/// TOFMCL_SERVE_TRACE) was produced with and stays byte-for-byte
-/// unchanged. The SIMD backends in this directory are hand-written ports
-/// of the same arithmetic:
+/// it is what every trace (TOFMCL_SCENARIO_TRACE / TOFMCL_SERVE_TRACE)
+/// is produced with under TOFMCL_KERNEL=scalar. The SIMD backends in this
+/// directory are hand-written ports of the same arithmetic:
 ///
-///  * kAvx2 — 8-wide AVX2 + F16C. Written to match the scalar kernel
-///    operation for operation (same float association, no FMA
-///    contraction, cell-index math in the map's double precision, scalar
-///    libm trig per lane), so on x86 builds it is bit-identical to the
-///    reference in practice; the equivalence tests still gate it by weight
-///    ULP delta + pose ATE rather than assuming it.
-///  * kNeon — 4-wide NEON port of the same structure (aarch64 builds).
+///  * kAvx2 — 8-wide AVX2 + F16C, observation sweep and motion step.
+///    Written to match the scalar kernels operation for operation (same
+///    float association, no FMA contraction; sweep: cell-index math in
+///    the map's double precision, scalar libm trig per lane; motion:
+///    lane-wise Philox, Box–Muller and polynomial sin/cos), so on x86
+///    builds it is bit-identical to the reference; the equivalence tests
+///    gate positions and yaws bitwise and weights by ULP delta + pose ATE.
+///  * kNeon — 4-wide NEON port of the sweep (aarch64 builds); motion
+///    runs the scalar reference.
 ///
 /// Backends are compiled in per architecture (TOFMCL_KERNELS_AVX2 /
 /// TOFMCL_KERNELS_NEON, set by src/core/CMakeLists.txt), probed at

@@ -1,6 +1,6 @@
 #pragma once
 /// \file observation_kernel.hpp
-/// \brief SIMD entry points for the observation sweep.
+/// \brief SIMD entry points for the observation sweep and the motion step.
 ///
 /// The ParticleFilter's observation sweep (particle_filter.hpp,
 /// observation_step{,_mixture}) is the hot loop of the whole system:
@@ -24,6 +24,12 @@
 ///    map's double-precision cell indexing (map/distance_map.hpp
 ///    code_at), so equivalence holds to bit level wherever the build does
 ///    not contract FMAs; the tests gate on weight ULP + pose ATE.
+///
+/// The motion step (motion_update() below) follows the same prefix
+/// contract. Its draws are Philox blocks keyed by (seed, step, particle
+/// index) (common/philox.hpp), so a lane needs nothing but its index; the
+/// kernels replicate the scalar Box–Muller, polynomial sin/cos and yaw
+/// wrap operation for operation and match the reference bit for bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,6 +83,51 @@ struct SweepSpansF16 {
   Half* weight = nullptr;
 };
 
+/// Per-update motion constants in the precision the scalar reference
+/// (ParticleFilter::motion_step) computes with, plus the Philox
+/// coordinates of the update's draws: key = seed, counter = (particle
+/// index, philox::Stream::kMotion, step).
+struct MotionDraw {
+  float dx0 = 0.0f;
+  float dy0 = 0.0f;
+  float dyaw0 = 0.0f;
+  float sigma_xy = 0.0f;
+  float sigma_yaw = 0.0f;
+  std::uint64_t seed = 0;
+  std::uint64_t step = 0;
+};
+
+/// Mutable SoA pose fields, fp32 layout.
+struct MotionSpansF32 {
+  float* x = nullptr;
+  float* y = nullptr;
+  float* yaw = nullptr;
+};
+
+/// Mutable SoA pose fields, fp16 layout.
+struct MotionSpansF16 {
+  Half* x = nullptr;
+  Half* y = nullptr;
+  Half* yaw = nullptr;
+};
+
+/// Runs the backend's motion step over a whole-block prefix of
+/// [begin, end); returns the number of particles moved (0 when the
+/// backend has no motion kernel in this build — NEON runs the scalar
+/// reference).
+std::size_t motion_update(KernelBackend backend, const MotionDraw& draw,
+                          const MotionSpansF32& particles, std::size_t begin,
+                          std::size_t end);
+std::size_t motion_update(KernelBackend backend, const MotionDraw& draw,
+                          const MotionSpansF16& particles, std::size_t begin,
+                          std::size_t end);
+
+/// The scalar reference's yaw wrap (common/angles.hpp wrap_pi_f),
+/// compiled out of line at the baseline ISA: the vector kernels call it
+/// for lanes outside their fast range without instantiating an inline
+/// copy under their own ISA flags.
+float wrap_pi_reference(float angle);
+
 /// Runs the backend's observation sweep over a whole-block prefix of
 /// [begin, end); returns the number of particles processed (a multiple of
 /// the backend's lane width; 0 if the backend has no kernel in this
@@ -115,5 +166,11 @@ std::size_t observation_sweep_neon(const LutMapView& map,
                                    const SweepSpansF16& particles,
                                    std::size_t begin, std::size_t end,
                                    bool fp16_weights);
+std::size_t motion_update_avx2(const MotionDraw& draw,
+                               const MotionSpansF32& particles,
+                               std::size_t begin, std::size_t end);
+std::size_t motion_update_avx2(const MotionDraw& draw,
+                               const MotionSpansF16& particles,
+                               std::size_t begin, std::size_t end);
 
 }  // namespace tofmcl::core::kernels

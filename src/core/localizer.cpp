@@ -314,7 +314,9 @@ std::size_t Localizer::resident_particle_bytes() const {
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x544F464Du;  // "TOFM"
-constexpr std::uint16_t kSnapshotVersion = 1;
+/// Version 2: the filter state carries one Philox draw step in place of
+/// version 1's per-chunk xoshiro streams.
+constexpr std::uint16_t kSnapshotVersion = 2;
 
 }  // namespace
 
@@ -361,6 +363,9 @@ void Localizer::load_snapshot(map::SnapshotReader& reader) {
                  "snapshot precision does not match this localizer");
   TOFMCL_EXPECTS(reader.u64() == config_.mcl.num_particles,
                  "snapshot particle budget does not match this localizer");
+  // Draws do not depend on the chunk count, but the resample and pose
+  // reductions sum per chunk in double: resuming under another count
+  // would continue a different trajectory.
   TOFMCL_EXPECTS(reader.u64() == config_.mcl.chunks,
                  "snapshot chunk count does not match this localizer");
   TOFMCL_EXPECTS(reader.u64() == config_.mcl.seed,

@@ -23,21 +23,29 @@
 /// (motion_observation_update) so a correction touches the particle state
 /// once instead of twice. Both the fusion and the SoA layout are pure
 /// re-orderings of memory traffic: every particle still sees the exact
-/// arithmetic (and per-chunk RNG stream) of the phase-by-phase path, so
+/// arithmetic and the exact random draws of the phase-by-phase path, so
 /// results are bit-identical to it.
 ///
-/// The observation sweep additionally dispatches to hand-written SIMD
-/// backends (src/core/kernels/: AVX2, NEON) for the LUT observation
-/// model. The scalar loops below remain the determinism reference — the
-/// SIMD kernels handle whole vector blocks and the scalar kernel always
-/// covers the tail, so there is exactly one definition of the reference
-/// arithmetic. Backend selection: kernels::default_backend() (compile
-/// detection + runtime probe + TOFMCL_KERNEL env override), overridable
-/// per filter with set_kernel_backend().
+/// Randomness is counter-based (common/philox.hpp): every draw is the
+/// Philox4x32-10 block of (MclConfig::seed; filter step, stream, particle
+/// or arrow index). The step counter advances once per randomized call
+/// (init, motion, resample). Draws therefore do not depend on the chunk
+/// count, the executor or the backend, and the whole filter is
+/// reproducible from the seed.
 ///
-/// Given a fixed chunk count, results are bit-identical on every executor;
-/// threads only change wall-clock. Per-chunk RNG streams make the whole
-/// filter reproducible from MclConfig::seed.
+/// The observation sweep (LUT observation model) and the motion step
+/// dispatch to hand-written SIMD backends (src/core/kernels/). The scalar
+/// loops below remain the determinism reference — the SIMD kernels handle
+/// whole vector blocks and the scalar kernel always covers the tail, so
+/// there is exactly one definition of the reference arithmetic. Backend
+/// selection: kernels::default_backend() (compile detection + runtime
+/// probe + TOFMCL_KERNEL env override), overridable per filter with
+/// set_kernel_backend().
+///
+/// Init and motion are bit-identical for any chunk count and executor.
+/// Resample and pose reduce per-chunk partial sums in double, so those
+/// are bit-identical across executors at a fixed chunk count; threads
+/// only change wall-clock.
 ///
 /// Everything the filter MUTATES lives in one relocatable aggregate,
 /// FilterState (filter_state.hpp); the filter object itself adds only
@@ -46,8 +54,7 @@
 /// snapshot/restore (save_state / load_state) and session eviction build
 /// on. With MclConfig::adaptive_particles the active count follows the
 /// KLD-sampling bound within arena size classes; the default fixed-count
-/// mode never calls the adaptation path and is bit-identical to the
-/// pre-split filter.
+/// mode never calls the adaptation path.
 ///
 /// Template parameter `Traits` selects the paper's design points:
 /// Fp32Traits, Fp32QmTraits, Fp16QmTraits (Section III-C2).
@@ -66,7 +73,7 @@
 #include "common/angles.hpp"
 #include "common/error.hpp"
 #include "common/geometry.hpp"
-#include "common/rng.hpp"
+#include "common/philox.hpp"
 #include "core/executor.hpp"
 #include "core/filter_state.hpp"
 #include "core/kernels/observation_kernel.hpp"
@@ -134,6 +141,8 @@ class ParticleFilter {
         observation_model_(std::move(observation_model)),
         arena_(std::move(arena)) {
     TOFMCL_EXPECTS(config.num_particles > 0, "need at least one particle");
+    TOFMCL_EXPECTS(config.num_particles <= 0xFFFFFFFFu,
+                   "particle indices must fit the 32-bit Philox counter word");
     TOFMCL_EXPECTS(config.chunks > 0 && config.chunks <= kMaxChunks,
                    "chunk count must be in [1, 64]");
     TOFMCL_EXPECTS(config.sigma_obs > 0.0, "sigma_obs must be positive");
@@ -161,12 +170,6 @@ class ParticleFilter {
     }
     st_.chunk_sums.resize(config_.chunks);
     st_.chunk_sq_sums.resize(config_.chunks);
-    Rng master(config_.seed);
-    st_.rngs.reserve(config_.chunks);
-    for (std::size_t c = 0; c < config_.chunks; ++c) {
-      st_.rngs.push_back(master.fork());
-    }
-    st_.resample_rng = master.fork();
   }
 
   ~ParticleFilter() { release_blocks(); }
@@ -236,15 +239,18 @@ class ParticleFilter {
   void init_uniform(std::span<const Vec2> support, double jitter) {
     TOFMCL_EXPECTS(!support.empty(), "uniform init needs support points");
     set_injection_support(support, jitter);
+    const std::uint64_t step = st_.step++;
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Rng& rng = st_.rngs[chunk];
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            const Vec2 center = support[rng.uniform_index(support.size())];
-            store(st_.particles, i, center.x + rng.uniform(-jitter, jitter),
-                  center.y + rng.uniform(-jitter, jitter),
-                  rng.uniform(-kPi, kPi), 1.0);
+            const philox::Block r = draw(philox::Stream::kInit, i, step);
+            const Vec2 center =
+                support[philox::index_below(r[0], support.size())];
+            store(st_.particles, i,
+                  center.x + philox::uniform(r[1], -jitter, jitter),
+                  center.y + philox::uniform(r[2], -jitter, jitter),
+                  philox::uniform(r[3], -kPi, kPi), 1.0);
           }
         });
     st_.estimate.valid = false;
@@ -262,14 +268,16 @@ class ParticleFilter {
 
   /// Tracking init: Gaussian cloud around a known pose.
   void init_gaussian(const Pose2& mean, double sigma_xy, double sigma_yaw) {
+    const std::uint64_t step = st_.step++;
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Rng& rng = st_.rngs[chunk];
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            store(st_.particles, i, rng.gaussian(mean.x(), sigma_xy),
-                  rng.gaussian(mean.y(), sigma_xy),
-                  wrap_pi(rng.gaussian(mean.yaw, sigma_yaw)), 1.0);
+            const philox::Gaussian3 g =
+                philox::gaussian3(draw(philox::Stream::kInit, i, step));
+            store(st_.particles, i, mean.x() + sigma_xy * g.g0,
+                  mean.y() + sigma_xy * g.g1,
+                  wrap_pi(mean.yaw + sigma_yaw * g.g2), 1.0);
           }
         });
     st_.estimate.valid = false;
@@ -284,14 +292,11 @@ class ParticleFilter {
   /// configured rate per distance traveled regardless of how often the
   /// motion model is sampled, and a hovering drone does not diffuse.
   void motion_update(const Pose2& delta) {
-    const MotionParams mp = motion_params(delta);
+    const kernels::MotionDraw md = motion_draw(delta);
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Rng& rng = st_.rngs[chunk];
-          for (std::size_t i = begin; i < end; ++i) {
-            motion_step(i, mp, rng);
-          }
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          motion_range(begin, end, md);
         });
   }
 
@@ -333,15 +338,15 @@ class ParticleFilter {
   /// observation_update(beams) — the observation consumes no randomness
   /// and the per-beam mixture/gating state is computed before the sweep
   /// from the SAME inputs (previous estimate, map, beams), so fusing
-  /// preserves each chunk's RNG stream, and every particle's arithmetic is
-  /// untouched; only the traversal order over (particle, phase) changes.
-  /// Within a chunk the motion steps run before the observation sweep
-  /// (also a pure traversal re-ordering: the observation reads only what
-  /// motion wrote and consumes no randomness), which is what lets the
-  /// observation half dispatch to the SIMD backends.
+  /// draws the same motion noise for every particle, and every particle's
+  /// arithmetic is untouched; only the traversal order over (particle,
+  /// phase) changes. Within a chunk the motion steps run before the
+  /// observation sweep (also a pure traversal re-ordering: the
+  /// observation reads only what motion wrote), which is what lets both
+  /// halves dispatch to the SIMD backends.
   void motion_observation_update(const Pose2& delta,
                                  std::span<const sensor::Beam> beams) {
-    const MotionParams mp = motion_params(delta);
+    const kernels::MotionDraw md = motion_draw(delta);
     st_.workload.particles = st_.particles.size();
     st_.workload.beams = beams.size();
     st_.workload.gated_beams = 0;
@@ -349,11 +354,8 @@ class ParticleFilter {
     const bool mixture = beams.empty() ? false : prepare_beams(beams);
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Rng& rng = st_.rngs[chunk];
-          for (std::size_t i = begin; i < end; ++i) {
-            motion_step(i, mp, rng);
-          }
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          motion_range(begin, end, md);
           if (!beams.empty()) observation_sweep(begin, end, beams, mixture);
         });
   }
@@ -366,6 +368,7 @@ class ParticleFilter {
     const std::size_t n = st_.particles.size();
     const std::size_t chunks =
         std::clamp<std::size_t>(config_.chunks, 1, n);
+    const std::uint64_t draw_step = st_.step++;
     st_.monitor.last_inject_p = 0.0;
     last_resample_drew_ = false;
 
@@ -456,7 +459,9 @@ class ParticleFilter {
 
     // One random number spins the wheel; arrows sit at u0 + i·step.
     const double step = total / static_cast<double>(n);
-    const double u0 = st_.resample_rng.uniform() * step;
+    const philox::Block wheel =
+        draw(philox::Stream::kResampleWheel, 0, draw_step);
+    const double u0 = philox::unit_double53(wheel[0], wheel[1]) * step;
 
     // Arrow index ranges per chunk, derived from the prefix sums with one
     // consistent rule so they partition [0, n) exactly.
@@ -474,7 +479,6 @@ class ParticleFilter {
     // recovery fraction of slots receives uniform redraws instead.
     executor_->for_chunks(
         n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Rng& rng = st_.rngs[chunk];
           std::size_t arrow = arrow_begin(chunk);
           const std::size_t arrow_end = arrow_begin(chunk + 1);
           std::size_t src = begin;
@@ -488,17 +492,11 @@ class ParticleFilter {
               cum += static_cast<double>(static_cast<float>(
                   st_.particles.weight[src]));
             }
-            if (inject_p > 0.0 && rng.bernoulli(inject_p)) {
-              const Vec2 center =
-                  support_[rng.uniform_index(support_.size())];
-              store(st_.back_buffer, arrow,
-                    center.x + rng.uniform(-support_jitter_, support_jitter_),
-                    center.y + rng.uniform(-support_jitter_, support_jitter_),
-                    rng.uniform(-kPi, kPi), 1.0);
-            } else {
-              st_.back_buffer.copy_from(st_.particles, arrow, src);
-              st_.back_buffer.weight[arrow] = Scalar(1.0f);
+            if (inject_p > 0.0 && inject(arrow, inject_p, draw_step)) {
+              continue;
             }
+            st_.back_buffer.copy_from(st_.particles, arrow, src);
+            st_.back_buffer.weight[arrow] = Scalar(1.0f);
           }
         });
     st_.particles.swap(st_.back_buffer);
@@ -593,16 +591,14 @@ class ParticleFilter {
     if (target != n) set_active_count(target);
   }
 
-  /// Serializes the persistent filter state (active particles, RNG
-  /// streams, estimate, recovery monitor) — see the FilterState doc for
+  /// Serializes the persistent filter state (active particles, draw
+  /// step, estimate, recovery monitor) — see the FilterState doc for
   /// the persistent/scratch split. Binary, little-endian, raw IEEE bits:
   /// load_state() resumes bit-identically.
   void save_state(map::SnapshotWriter& w) const {
     w.u64(st_.particles.size());
     w.u8(static_cast<std::uint8_t>(sizeof(Scalar)));
-    w.u32(static_cast<std::uint32_t>(st_.rngs.size()));
-    for (const Rng& rng : st_.rngs) write_rng(w, rng);
-    write_rng(w, st_.resample_rng);
+    w.u64(st_.step);
     w.f64(st_.estimate.pose.x());
     w.f64(st_.estimate.pose.y());
     w.f64(st_.estimate.pose.yaw);
@@ -629,10 +625,7 @@ class ParticleFilter {
                    "snapshot particle count outside [1, num_particles]");
     TOFMCL_EXPECTS(r.u8() == sizeof(Scalar),
                    "snapshot scalar width does not match this precision");
-    TOFMCL_EXPECTS(r.u32() == st_.rngs.size(),
-                   "snapshot RNG stream count does not match chunks");
-    for (Rng& rng : st_.rngs) rng = read_rng(r);
-    st_.resample_rng = read_rng(r);
+    st_.step = r.u64();
     const double px = r.f64();
     const double py = r.f64();
     const double pyaw = r.f64();
@@ -661,15 +654,33 @@ class ParticleFilter {
   const InjectionMonitor& injection_monitor() const { return st_.monitor; }
 
  private:
-  /// Per-update motion constants, hoisted out of the particle loop. All
-  /// kept in double: the Gaussian mean/σ feed Rng::gaussian in double
-  /// precision exactly as the phase-by-phase path always did.
-  struct MotionParams {
-    double dx0, dy0, dyaw0;
-    double sxy, syaw;
-  };
+  /// The Philox block of draw (stream, index) at filter step `step`.
+  philox::Block draw(philox::Stream stream, std::size_t index,
+                     std::uint64_t step) const {
+    return philox::philox4x32(
+        philox::counter_of(static_cast<std::uint32_t>(index), stream, step),
+        philox::key_of(config_.seed));
+  }
 
-  MotionParams motion_params(const Pose2& delta) const {
+  /// Recovery injection at `arrow` of the resample at `step`: a coin
+  /// with probability p, then a uniform redraw over the support. Returns
+  /// whether the slot was redrawn.
+  bool inject(std::size_t arrow, double p, std::uint64_t step) {
+    const philox::Block r = draw(philox::Stream::kInjection, arrow, step);
+    if (!(philox::unit_double(r[0]) < p)) return false;
+    const Vec2 center = support_[philox::index_below(r[1], support_.size())];
+    const philox::Block yaw = draw(philox::Stream::kInjectionYaw, arrow, step);
+    store(st_.back_buffer, arrow,
+          center.x + philox::uniform(r[2], -support_jitter_, support_jitter_),
+          center.y + philox::uniform(r[3], -support_jitter_, support_jitter_),
+          philox::uniform(yaw[0], -kPi, kPi), 1.0);
+    return true;
+  }
+
+  /// Per-update motion constants, hoisted out of the particle loop, and
+  /// the update's draw step. The Gaussian mean/σ are rounded to binary32
+  /// once here: the step itself is all-float (see motion_step).
+  kernels::MotionDraw motion_draw(const Pose2& delta) {
     double noise_scale = 1.0;
     if (config_.scale_noise_with_motion) {
       const double gate_fraction =
@@ -677,25 +688,57 @@ class ParticleFilter {
           std::abs(delta.yaw) / config_.gate_dtheta;
       noise_scale = std::sqrt(std::min(gate_fraction, 4.0));
     }
-    return MotionParams{delta.x(), delta.y(), delta.yaw,
-                        config_.sigma_odom_xy * noise_scale,
-                        config_.sigma_odom_yaw * noise_scale};
+    kernels::MotionDraw md;
+    md.dx0 = static_cast<float>(delta.x());
+    md.dy0 = static_cast<float>(delta.y());
+    md.dyaw0 = static_cast<float>(delta.yaw);
+    md.sigma_xy = static_cast<float>(config_.sigma_odom_xy * noise_scale);
+    md.sigma_yaw = static_cast<float>(config_.sigma_odom_yaw * noise_scale);
+    md.seed = config_.seed;
+    md.step = st_.step++;
+    return md;
   }
 
-  /// Motion kernel body for one particle (3 Gaussian draws from the
-  /// chunk's RNG, body-frame delta rotated into the world frame).
-  inline void motion_step(std::size_t i, const MotionParams& mp, Rng& rng) {
-    const float dx = static_cast<float>(rng.gaussian(mp.dx0, mp.sxy));
-    const float dy = static_cast<float>(rng.gaussian(mp.dy0, mp.sxy));
-    const float dyaw = static_cast<float>(rng.gaussian(mp.dyaw0, mp.syaw));
+  /// Motion over [begin, end) of one chunk: a SIMD backend moves whole
+  /// vector blocks, the scalar reference the rest.
+  inline void motion_range(std::size_t begin, std::size_t end,
+                           const kernels::MotionDraw& md) {
+    if (backend_ != kernels::KernelBackend::kScalar) {
+      begin += kernels::motion_update(backend_, md, motion_spans(), begin, end);
+    }
+    for (std::size_t i = begin; i < end; ++i) motion_step(i, md);
+  }
+
+  /// Motion kernel body for one particle: three Box–Muller Gaussians
+  /// from the particle's Philox block, the body-frame delta rotated into
+  /// the world frame by the polynomial sin/cos of its yaw, the yaw
+  /// wrapped to (-π, π]. All binary32 mul/add/sub in this association —
+  /// the SIMD ports replicate it operation for operation (no FMA).
+  inline void motion_step(std::size_t i, const kernels::MotionDraw& md) {
+    const philox::Gaussian3 g =
+        philox::gaussian3(draw(philox::Stream::kMotion, i, md.step));
+    const float dx = md.dx0 + md.sigma_xy * g.g0;
+    const float dy = md.dy0 + md.sigma_xy * g.g1;
+    const float dyaw = md.dyaw0 + md.sigma_yaw * g.g2;
     const float yaw = static_cast<float>(st_.particles.yaw[i]);
-    const float c = std::cos(yaw);
-    const float s = std::sin(yaw);
-    st_.particles.x[i] =
-        Scalar(static_cast<float>(st_.particles.x[i]) + c * dx - s * dy);
-    st_.particles.y[i] =
-        Scalar(static_cast<float>(st_.particles.y[i]) + s * dx + c * dy);
+    const philox::SinCos t = philox::sincos_f(yaw);
+    st_.particles.x[i] = Scalar(static_cast<float>(st_.particles.x[i]) +
+                                t.cos * dx - t.sin * dy);
+    st_.particles.y[i] = Scalar(static_cast<float>(st_.particles.y[i]) +
+                                t.sin * dx + t.cos * dy);
     st_.particles.yaw[i] = Scalar(wrap_pi_f(yaw + dyaw));
+  }
+
+  auto motion_spans() {
+    if constexpr (std::is_same_v<Scalar, Half>) {
+      return kernels::MotionSpansF16{st_.particles.x.data(),
+                                     st_.particles.y.data(),
+                                     st_.particles.yaw.data()};
+    } else {
+      return kernels::MotionSpansF32{st_.particles.x.data(),
+                                     st_.particles.y.data(),
+                                     st_.particles.yaw.data()};
+    }
   }
 
   /// Computes the per-beam mixture state and novelty-gate verdicts.
@@ -1032,23 +1075,6 @@ class ParticleFilter {
     arena_.reset();
   }
 
-  static void write_rng(map::SnapshotWriter& w, const Rng& rng) {
-    const Rng::Snapshot s = rng.snapshot();
-    for (const std::uint64_t word : s.state) w.u64(word);
-    w.f64(s.cached);
-    w.boolean(s.has_cached);
-  }
-
-  static Rng read_rng(map::SnapshotReader& r) {
-    Rng::Snapshot s;
-    for (std::uint64_t& word : s.state) word = r.u64();
-    s.cached = r.f64();
-    s.has_cached = r.boolean();
-    Rng rng(0);
-    rng.restore(s);
-    return rng;
-  }
-
   static void write_scalar(map::SnapshotWriter& w, Scalar v) {
     if constexpr (std::is_same_v<Scalar, Half>) {
       w.u16(v.bits());
@@ -1110,10 +1136,6 @@ class ParticleFilter {
     } else {
       read_array(r, values);
     }
-  }
-
-  static float wrap_pi_f(float angle) {
-    return static_cast<float>(wrap_pi(static_cast<double>(angle)));
   }
 
   static void store(ParticleSoA<Scalar>& soa, std::size_t i, double x,

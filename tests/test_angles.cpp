@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -113,6 +116,37 @@ TEST(Angles, CircularMeanShiftEquivariance) {
     for (auto& a : angles) a += c;
     const double shifted = circular_mean(angles, weights);
     EXPECT_NEAR(angle_dist(shifted, base + c), 0.0, 1e-9);
+  }
+}
+
+// wrap_pi_f's two-branch fast path must equal the general
+// std::remainder wrap for every float it serves — and the general path
+// for every other. Exhaustive within 2^16 ulps of each branch edge
+// (±π, ±3π), a dense grid over [-12, 12], and the special values.
+TEST(Angles, WrapPiFloatEqualsGeneralWrap) {
+  const auto same = [](float a) {
+    const float fast = wrap_pi_f(a);
+    const float general = static_cast<float>(wrap_pi(static_cast<double>(a)));
+    if (std::isnan(general)) return std::isnan(fast);
+    return std::bit_cast<std::uint32_t>(fast) ==
+           std::bit_cast<std::uint32_t>(general);
+  };
+  for (const double edge : {-3.0 * kPi, -kPi, kPi, 3.0 * kPi}) {
+    float a = static_cast<float>(edge);
+    for (int i = 0; i < (1 << 16); ++i) a = std::nextafter(a, -100.0f);
+    for (int i = 0; i < (1 << 17); ++i) {
+      ASSERT_TRUE(same(a)) << a;
+      a = std::nextafter(a, 100.0f);
+    }
+  }
+  for (int i = 0; i <= 4000000; ++i) {
+    const auto a = static_cast<float>(-12.0 + 24.0 * i / 4000000.0);
+    ASSERT_TRUE(same(a)) << a;
+  }
+  for (const float a : {0.0f, -0.0f, 1e-30f, -1e-30f, 1e6f, -1e6f,
+                        std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::quiet_NaN()}) {
+    EXPECT_TRUE(same(a)) << a;
   }
 }
 

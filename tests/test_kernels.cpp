@@ -1,15 +1,18 @@
-// Backend-equivalence suite for the SIMD observation kernels
-// (src/core/kernels/): every supported SIMD backend must reproduce the
-// scalar determinism reference within the tolerance gates of the kernel
-// contract — max weight ULP delta bounded (zero in practice on x86,
-// where the baseline build has no FMA contraction to diverge from) and
-// identical pose estimates within ATE-level bounds across full
+// Backend-equivalence suite for the SIMD kernels (src/core/kernels/):
+// every supported SIMD backend must reproduce the scalar determinism
+// reference. The observation sweep is held to the tolerance gates of the
+// kernel contract — max weight ULP delta bounded (zero in practice on
+// x86, where the baseline build has no FMA contraction to diverge from)
+// and identical pose estimates within ATE-level bounds across full
 // motion/observation/resample trajectories.
 //
-// Positions and yaws must match BITWISE in every scenario: the motion
-// phase and resampling are scalar on all backends and both filters
-// consume identical per-chunk RNG streams, so only the weight array can
-// ever carry backend-dependent rounding.
+// Positions and yaws must match BITWISE in every scenario. The motion
+// step's draws are Philox blocks keyed by (seed, step, particle index),
+// identical on every backend, and the AVX2 motion kernel replicates the
+// scalar Box–Muller, polynomial sin/cos and yaw wrap operation for
+// operation (NEON runs the scalar motion reference); resampling is
+// scalar everywhere. So only the weight array can ever carry
+// backend-dependent rounding.
 //
 // Registered under the `kernels` ctest label (tests/CMakeLists.txt); CI
 // runs `ctest -L kernels` in the dedicated kernels job.
@@ -398,6 +401,66 @@ TEST(Kernels, Fp16QmTraitsMatchScalar) {
       scalar_pf.resample();
       simd_pf.resample();
     }
+  }
+}
+
+// The motion kernel alone and fused with the sweep, at particle counts
+// that leave no tail (8), a tail under one block (13) and a long run
+// with a tail (4101), for both particle layouts: positions and yaws must
+// equal the scalar reference bit for bit. The deltas include a large
+// yaw step, so some lanes leave the kernel's fast wrap range and take
+// the reference wrap.
+template <typename Traits>
+void expect_motion_bitwise(kernels::KernelBackend backend) {
+  const auto grid = test_grid();
+  const map::QuantizedDistanceMap dm(grid, 1.5);
+  const auto support = grid.free_cell_centers();
+  SerialExecutor exec;
+  const std::vector<Beam> beams{beam_at(0.0, 1.0), beam_at(0.5, 1.2),
+                                beam_at(kPi, 1.7)};
+  const std::vector<Pose2> deltas{Pose2{0.05, 0.01, 0.02},
+                                  Pose2{0.0, 0.0, 0.0},
+                                  Pose2{-0.12, 0.07, -0.4},
+                                  Pose2{0.02, -0.01, 7.5}};
+  for (const std::size_t n : {8u, 13u, 4101u}) {
+    for (const bool fused : {false, true}) {
+      MclConfig cfg = small_config(n);
+      cfg.chunks = std::min<std::size_t>(n, 3);
+      ParticleFilter<Traits> scalar_pf(dm, cfg, exec);
+      ParticleFilter<Traits> simd_pf(dm, cfg, exec);
+      scalar_pf.set_kernel_backend(kernels::KernelBackend::kScalar);
+      simd_pf.set_kernel_backend(backend);
+      scalar_pf.init_uniform(support, 0.025);
+      simd_pf.init_uniform(support, 0.025);
+      for (std::size_t k = 0; k < 2 * deltas.size(); ++k) {
+        const Pose2& d = deltas[k % deltas.size()];
+        if (fused) {
+          scalar_pf.motion_observation_update(d, beams);
+          simd_pf.motion_observation_update(d, beams);
+        } else {
+          scalar_pf.motion_update(d);
+          simd_pf.motion_update(d);
+        }
+        expect_state_matches(scalar_pf, simd_pf,
+                             fused ? "fused motion" : "motion");
+      }
+    }
+  }
+}
+
+TEST(Kernels, MotionMatchesScalarBitwiseFp32) {
+  const auto backends = simd_backends();
+  if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
+  for (const auto backend : backends) {
+    expect_motion_bitwise<Fp32QmTraits>(backend);
+  }
+}
+
+TEST(Kernels, MotionMatchesScalarBitwiseFp16) {
+  const auto backends = simd_backends();
+  if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
+  for (const auto backend : backends) {
+    expect_motion_bitwise<Fp16QmTraits>(backend);
   }
 }
 

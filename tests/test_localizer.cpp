@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "common/angles.hpp"
+#include "common/error.hpp"
 #include "common/stats.hpp"
+#include "map/snapshot_io.hpp"
 #include "sim/maze.hpp"
 #include "sim/sequence_generator.hpp"
 
@@ -205,6 +211,31 @@ INSTANTIATE_TEST_SUITE_P(AllPrecisions, LocalizerPipeline,
                          [](const auto& suite_info) {
                            return std::string(to_string(suite_info.param));
                          });
+
+// Version 1 blobs carried per-chunk xoshiro streams; version 2 carries
+// one Philox draw step. An old blob must be refused by name, not misread.
+TEST(Localizer, RefusesVersionOneSnapshot) {
+  const auto grid = maze_grid();
+  SerialExecutor exec;
+  Localizer loc(grid, base_config(Precision::kFp32Qm, 256), exec);
+  loc.start_global();
+  map::SnapshotWriter writer;
+  loc.save_snapshot(writer);
+  std::vector<std::byte> blob = writer.take();
+  ASSERT_GT(blob.size(), 6u);
+  // Magic (u32), then the little-endian u16 version.
+  EXPECT_EQ(std::to_integer<unsigned>(blob[4]), 2u);
+  EXPECT_EQ(std::to_integer<unsigned>(blob[5]), 0u);
+  blob[4] = std::byte{1};
+  map::SnapshotReader reader(blob);
+  try {
+    loc.load_snapshot(reader);
+    FAIL() << "a version-1 snapshot was accepted";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Localizer, TrackingInitStaysLocked) {
   const map::World maze = sim::drone_maze();

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "map/rasterize.hpp"
@@ -294,6 +298,74 @@ TEST(ParticleFilter, ResampleBitExactAcrossExecutors) {
   EXPECT_EQ(ea.pose.yaw, eb.pose.yaw);
 }
 
+// Draws are keyed by (seed, step, stream, particle index), never by
+// chunk: init and motion must give bit-identical clouds for any chunk
+// count, on any executor and on every backend. (Resample and pose sum
+// per chunk in double, so only a fixed chunk count pins those.)
+TEST(ParticleFilter, InitAndMotionAreChunkAndExecutorNeutral) {
+  const auto grid = test_grid();
+  const map::QuantizedDistanceMap qm(grid, 1.5);
+  const auto support = grid.free_cell_centers();
+  std::vector<kernels::KernelBackend> backends{
+      kernels::KernelBackend::kScalar};
+  for (const auto b :
+       {kernels::KernelBackend::kAvx2, kernels::KernelBackend::kNeon}) {
+    if (kernels::backend_supported(b)) backends.push_back(b);
+  }
+  SerialExecutor serial;
+  ThreadPool pool(3);
+  ThreadPoolExecutor threaded(pool);
+  const std::array<Pose2, 4> deltas{Pose2{0.1, 0.02, 0.05},
+                                    Pose2{0.01, 0.0, 0.0},
+                                    Pose2{-0.05, 0.08, -0.3},
+                                    Pose2{0.12, -0.01, 7.0}};
+
+  struct Cloud {
+    std::vector<float> x, y, yaw;
+  };
+  const auto run = [&](std::size_t chunks, Executor& exec,
+                       kernels::KernelBackend backend) {
+    MclConfig cfg = small_config(1001);  // off every lane multiple
+    cfg.chunks = chunks;
+    ParticleFilter<Fp32QmTraits> pf(qm, cfg, exec);
+    pf.set_kernel_backend(backend);
+    pf.init_uniform(support, 0.025);
+    for (int k = 0; k < 6; ++k) pf.motion_update(deltas[k % deltas.size()]);
+    Cloud c;
+    for (const auto& p : pf.particles()) {
+      c.x.push_back(p.x);
+      c.y.push_back(p.y);
+      c.yaw.push_back(p.yaw);
+    }
+    return c;
+  };
+
+  const Cloud ref = run(1, serial, kernels::KernelBackend::kScalar);
+  for (const auto backend : backends) {
+    for (const std::size_t chunks : {1u, 3u, 8u}) {
+      for (Executor* exec : {static_cast<Executor*>(&serial),
+                             static_cast<Executor*>(&threaded)}) {
+        const Cloud c = run(chunks, *exec, backend);
+        ASSERT_EQ(c.x.size(), ref.x.size());
+        for (std::size_t i = 0; i < ref.x.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(c.x[i]),
+                    std::bit_cast<std::uint32_t>(ref.x[i]))
+              << kernels::to_string(backend) << " chunks " << chunks << " i "
+              << i;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(c.y[i]),
+                    std::bit_cast<std::uint32_t>(ref.y[i]))
+              << kernels::to_string(backend) << " chunks " << chunks << " i "
+              << i;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(c.yaw[i]),
+                    std::bit_cast<std::uint32_t>(ref.yaw[i]))
+              << kernels::to_string(backend) << " chunks " << chunks << " i "
+              << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(ParticleFilter, ResampleHandlesDegenerateWeights) {
   const auto grid = test_grid();
   const map::DistanceMap dm(grid, 1.5);
@@ -387,7 +459,7 @@ TEST(ParticleFilter, QuantizedMapVariantMatchesFloatClosely) {
   const PoseEstimate eqm = pfqm.compute_pose();
   ASSERT_TRUE(e32.valid);
   ASSERT_TRUE(eqm.valid);
-  // Identical RNG streams and near-identical likelihoods: the clouds
+  // Identical draws and near-identical likelihoods: the clouds
   // should track each other closely (small divergence accumulates from
   // the ±½-step quantization of the EDT).
   EXPECT_NEAR(e32.pose.x(), eqm.pose.x(), 0.25);
@@ -423,7 +495,7 @@ TEST(ParticleFilter, Fp16VariantStaysFiniteAndClose) {
 // The fused motion+observation kernel must be bit-identical to the
 // phase-by-phase path: the observation consumes no randomness, so fusing
 // only reorders the traversal over (particle, phase), never the
-// arithmetic or the per-chunk RNG streams.
+// arithmetic or the random draws.
 TEST(ParticleFilter, FusedKernelMatchesSeparatePhases) {
   const auto grid = test_grid();
   const map::DistanceMap dm(grid, 1.5);
