@@ -89,6 +89,22 @@
 
 namespace tofmcl::core {
 
+/// Weight a recovery-injection redraw enters the particle set with while
+/// the novelty gate is armed, in place of the 1 every resampled particle
+/// gets. An armed filter is tracking, so a uniform redraw is a kidnap
+/// hypothesis with a small prior: it takes over only if it explains the
+/// scan better than the tracked cloud by a likelihood ratio of about
+/// 1/weight. This is what keeps a stale map from hijacking the filter:
+/// moved shelving costs the true pose a few beams, and at weight 1 a
+/// redraw in a look-alike aisle that fits those beams (10²–10⁵ better)
+/// took over tracked warehouse flights. The price is slower kidnap
+/// recovery while armed: only near-exact redraws beat the cloud, so a
+/// teleport is caught later or not at all (ROADMAP). With the gate
+/// disarmed, or gating off, redraws keep weight 1. fp16 particle storage
+/// flushes weights below ~6e-8 to zero, so there an armed filter's
+/// redraws survive only on near-perfect matches.
+inline constexpr double kArmedRedrawWeight = 1e-6;
+
 /// fp32: float particles, float EDT.
 struct Fp32Traits {
   using Scalar = float;
@@ -476,7 +492,10 @@ class ParticleFilter {
 
     // Step 3 (parallel): each chunk draws the new particles whose arrows
     // fall inside its weight span, writing into the double buffer. A
-    // recovery fraction of slots receives uniform redraws instead.
+    // recovery fraction of slots receives uniform redraws instead, at
+    // the kidnap-prior weight while the novelty gate is armed.
+    const double inject_weight =
+        st_.workload.novelty_armed ? kArmedRedrawWeight : 1.0;
     executor_->for_chunks(
         n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           std::size_t arrow = arrow_begin(chunk);
@@ -492,7 +511,8 @@ class ParticleFilter {
               cum += static_cast<double>(static_cast<float>(
                   st_.particles.weight[src]));
             }
-            if (inject_p > 0.0 && inject(arrow, inject_p, draw_step)) {
+            if (inject_p > 0.0 &&
+                inject(arrow, inject_p, inject_weight, draw_step)) {
               continue;
             }
             st_.back_buffer.copy_from(st_.particles, arrow, src);
@@ -663,9 +683,10 @@ class ParticleFilter {
   }
 
   /// Recovery injection at `arrow` of the resample at `step`: a coin
-  /// with probability p, then a uniform redraw over the support. Returns
-  /// whether the slot was redrawn.
-  bool inject(std::size_t arrow, double p, std::uint64_t step) {
+  /// with probability p, then a uniform redraw over the support, stored
+  /// with weight `weight`. Returns whether the slot was redrawn.
+  bool inject(std::size_t arrow, double p, double weight,
+              std::uint64_t step) {
     const philox::Block r = draw(philox::Stream::kInjection, arrow, step);
     if (!(philox::unit_double(r[0]) < p)) return false;
     const Vec2 center = support_[philox::index_below(r[1], support_.size())];
@@ -673,7 +694,7 @@ class ParticleFilter {
     store(st_.back_buffer, arrow,
           center.x + philox::uniform(r[2], -support_jitter_, support_jitter_),
           center.y + philox::uniform(r[3], -support_jitter_, support_jitter_),
-          philox::uniform(yaw[0], -kPi, kPi), 1.0);
+          philox::uniform(yaw[0], -kPi, kPi), weight);
     return true;
   }
 
@@ -998,9 +1019,9 @@ class ParticleFilter {
   }
 
   /// Re-sizes the active set to `target`, preserving the represented
-  /// distribution: shrinking keeps an even stride subsample of the (all
-  /// weight-1) set, growing tiles the existing particles. Storage moves
-  /// between arena size classes when needed.
+  /// distribution: shrinking keeps an even stride subsample of the
+  /// freshly resampled set, growing tiles the existing particles.
+  /// Storage moves between arena size classes when needed.
   void set_active_count(std::size_t target) {
     const std::size_t old_n = st_.particles.size();
     if (target == old_n || old_n == 0) return;
@@ -1034,10 +1055,9 @@ class ParticleFilter {
         st_.particles.copy_from(st_.particles, i, i % old_n);
       }
     }
-    // The resample that preceded adaptation left every weight at 1;
-    // subsampling/tiling preserves that, re-asserted for the new slots.
-    std::fill(st_.particles.weight.begin(), st_.particles.weight.end(),
-              Scalar(1.0f));
+    // Every slot was copied with its weight: 1 from the resample that
+    // preceded adaptation, or an armed recovery redraw's
+    // kArmedRedrawWeight, which tiling must not reset.
   }
 
   /// Source index for re-sizing: shrink = even stride over the old set

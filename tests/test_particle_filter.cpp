@@ -836,6 +836,120 @@ TEST(ParticleFilter, GenuineKidnappingStillTriggersInjection) {
   EXPECT_LE(max_inject, cfg.injection_max_fraction);
 }
 
+// The weight half of the same teleport: while the gate is armed every
+// recovery redraw enters at kArmedRedrawWeight (a kidnap hypothesis with
+// a small prior, so a stale map cannot hand the filter to a look-alike
+// place), and every resampled particle at 1. With gating off the redraws
+// keep weight 1.
+TEST(ParticleFilter, ArmedRecoveryRedrawsEnterAtTheKidnapPriorWeight) {
+  const auto grid = test_grid();
+  const map::DistanceMap dm(grid, 1.5);
+  const auto support = grid.free_cell_centers();
+  SerialExecutor exec;
+  MclConfig cfg = small_config(256);
+  cfg.sigma_odom_xy = 0.0;
+  cfg.sigma_odom_yaw = 0.0;
+  cfg.enable_novelty_gating = true;
+  MclConfig ungated_cfg = cfg;
+  ungated_cfg.enable_novelty_gating = false;
+
+  ParticleFilter<Fp32Traits> gated(dm, cfg, exec);
+  ParticleFilter<Fp32Traits> ungated(dm, ungated_cfg, exec);
+  const std::vector<Beam> matched{beam_at(0.0, 1.0), beam_at(kPi, 1.0)};
+  const std::vector<Beam> teleported{beam_at(0.0, 2.5), beam_at(kPi, 2.5)};
+  for (auto* pf : {&gated, &ungated}) {
+    pf->init_gaussian({1.0, 1.0, 0.0}, 0.0, 0.0);
+    pf->set_injection_support(support, 0.025);
+    for (int i = 0; i < 4; ++i) {
+      pf->observation_update(matched);
+      pf->resample();
+      pf->compute_pose();
+    }
+  }
+
+  const float prior = static_cast<float>(kArmedRedrawWeight);
+  ASSERT_LT(prior, 1.0f);
+  std::size_t gated_redraws = 0;
+  std::size_t ungated_injections = 0;
+  for (int i = 0; i < 8; ++i) {
+    gated.observation_update(teleported);
+    ASSERT_TRUE(gated.workload().novelty_armed) << "update " << i;
+    gated.resample();
+    for (const auto& p : gated.particles()) {
+      const float w = static_cast<float>(p.weight);
+      ASSERT_TRUE(w == 1.0f || w == prior) << "update " << i << " w " << w;
+      if (w == prior) ++gated_redraws;
+    }
+    if (gated.injection_monitor().last_inject_p == 0.0) {
+      EXPECT_EQ(gated_redraws, 0u) << "update " << i;
+    }
+    gated.compute_pose();
+
+    ungated.observation_update(teleported);
+    ungated.resample();
+    if (ungated.injection_monitor().last_inject_p > 0.0) ++ungated_injections;
+    for (const auto& p : ungated.particles()) {
+      ASSERT_EQ(static_cast<float>(p.weight), 1.0f) << "update " << i;
+    }
+    ungated.compute_pose();
+  }
+  EXPECT_GT(gated_redraws, 0u);
+  EXPECT_GT(ungated_injections, 0u);
+}
+
+// Adaptive counts: the injection that snaps a shrunken set back to the
+// full budget tiles the particles, and the armed redraws must keep their
+// prior weight through the tiling.
+TEST(ParticleFilter, AdaptiveSnapBackKeepsArmedRedrawWeights) {
+  const auto grid = test_grid();
+  const map::DistanceMap dm(grid, 1.5);
+  const auto support = grid.free_cell_centers();
+  SerialExecutor exec;
+  MclConfig cfg = small_config(256);
+  cfg.sigma_odom_xy = 0.0;
+  cfg.sigma_odom_yaw = 0.0;
+  cfg.enable_novelty_gating = true;
+  cfg.adaptive_particles = true;
+  cfg.min_particles = 64;
+  ParticleFilter<Fp32Traits> pf(dm, cfg, exec);
+  pf.init_gaussian({1.0, 1.0, 0.0}, 0.0, 0.0);
+  pf.set_injection_support(support, 0.025);
+  const std::vector<Beam> matched{beam_at(0.0, 1.0), beam_at(kPi, 1.0)};
+  for (int i = 0; i < 6; ++i) {
+    pf.observation_update(matched);
+    pf.resample();
+    pf.compute_pose();
+    pf.adapt_particle_count();
+  }
+  ASSERT_LT(pf.size(), cfg.num_particles);
+
+  const float prior = static_cast<float>(kArmedRedrawWeight);
+  const std::vector<Beam> teleported{beam_at(0.0, 2.5), beam_at(kPi, 2.5)};
+  bool snapped = false;
+  for (int i = 0; i < 8 && !snapped; ++i) {
+    pf.observation_update(teleported);
+    ASSERT_TRUE(pf.workload().novelty_armed) << "update " << i;
+    const std::size_t before = pf.size();
+    pf.resample();
+    pf.compute_pose();
+    std::size_t redraws_before = 0;
+    for (const auto& p : pf.particles()) {
+      redraws_before += static_cast<float>(p.weight) == prior ? 1 : 0;
+    }
+    pf.adapt_particle_count();
+    if (pf.size() <= before || redraws_before == 0) continue;
+    snapped = true;
+    std::size_t redraws_after = 0;
+    for (const auto& p : pf.particles()) {
+      const float w = static_cast<float>(p.weight);
+      ASSERT_TRUE(w == 1.0f || w == prior) << "w " << w;
+      redraws_after += w == prior ? 1 : 0;
+    }
+    EXPECT_GE(redraws_after, redraws_before);
+  }
+  EXPECT_TRUE(snapped);
+}
+
 // The deadlock case of the previous test: a kidnapping toward NEARER
 // surfaces makes every beam read shorter than the stale expectation, so
 // the gate would exclude ALL of them — no evidence reaches the monitor,

@@ -660,8 +660,10 @@ TEST(CrowdStats, OfficeCorridorPacingSuccessRate) {
 }
 
 // The ROADMAP's open loop-corridor + pacing-walker item, pinned as an
-// explicit EXPECTED-FAILURE gate: today NEITHER model tracks this regime
-// (observed 0/5 mixture passes, 5/5 baseline failures while tuning), and
+// explicit EXPECTED-FAILURE gate: NEITHER model tracked this regime
+// (observed 0/5 mixture passes, 5/5 baseline failures while tuning; since
+// armed recovery redraws carry the kidnap-prior weight, the mixture
+// passes about 7 of 20 trials, so this bound is close to flipping), and
 // any future fix — odometry-trust scheduling, bay-depth features in the
 // rear sensor's longitudinal scoring — will flip these bounds loudly
 // instead of improving invisibly. If this test "fails" because
