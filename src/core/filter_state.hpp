@@ -81,8 +81,8 @@ struct BeamAux {
 /// Everything a running filter mutates, in one relocatable aggregate.
 ///
 /// Serialization contract (ParticleFilter::save_state): `particles`,
-/// `step`, `estimate`, `monitor` and `blind_streak` are the persistent
-/// state; everything else is scratch that the next update
+/// `step`, `estimate`, `monitor`, `blind_streak`, `prev_gated` and
+/// `redraw_deficit` are the persistent state; everything else is scratch that the next update
 /// fully rewrites (`back_buffer` is repartitioned by every resample,
 /// `beam_aux`/chunk sums are per-update) or bookkeeping of the storage
 /// itself (`block_capacity`) and is deliberately NOT serialized.
@@ -105,6 +105,14 @@ struct FilterState {
   InjectionMonitor monitor;
   /// Consecutive corrections in which the gate excluded EVERY beam.
   std::size_t blind_streak = 0;
+  /// Whether the gate excluded any beam on the previous correction (see
+  /// kArmedRedrawWeight).
+  bool prev_gated = false;
+  /// How far the weight sum the last resample left falls short of the
+  /// particle count: Σ (1 − w) over its low-weight recovery redraws, 0
+  /// when every weight is 1. The likelihood monitor divides the next
+  /// observation's weight mass by (count − deficit).
+  double redraw_deficit = 0.0;
 
   /// Scratch: per-beam mixture/gating state of the current update.
   std::vector<BeamAux> beam_aux;

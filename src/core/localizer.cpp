@@ -315,7 +315,8 @@ namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x544F464Du;  // "TOFM"
 /// Version 2: the filter state carries one Philox draw step in place of
-/// version 1's per-chunk xoshiro streams.
+/// version 1's per-chunk xoshiro streams, plus the recovery-redraw
+/// bookkeeping (previous gate verdict, redraw weight deficit).
 constexpr std::uint16_t kSnapshotVersion = 2;
 
 }  // namespace

@@ -90,19 +90,19 @@
 namespace tofmcl::core {
 
 /// Weight a recovery-injection redraw enters the particle set with while
-/// the novelty gate is armed, in place of the 1 every resampled particle
-/// gets. An armed filter is tracking, so a uniform redraw is a kidnap
-/// hypothesis with a small prior: it takes over only if it explains the
-/// scan better than the tracked cloud by a likelihood ratio of about
-/// 1/weight. This is what keeps a stale map from hijacking the filter:
-/// moved shelving costs the true pose a few beams, and at weight 1 a
-/// redraw in a look-alike aisle that fits those beams (10²–10⁵ better)
-/// took over tracked warehouse flights. The price is slower kidnap
-/// recovery while armed: only near-exact redraws beat the cloud, so a
-/// teleport is caught later or not at all (ROADMAP). With the gate
-/// disarmed, or gating off, redraws keep weight 1. fp16 particle storage
-/// flushes weights below ~6e-8 to zero, so there an armed filter's
-/// redraws survive only on near-perfect matches.
+/// the novelty gate is armed AND has excluded a beam on this or the
+/// previous correction, in place of the 1 every resampled particle gets.
+/// Gated beams mean the scan shows surfaces the map does not know at the
+/// estimated pose: the map is stale or crowded there, and a uniform redraw
+/// that fits the scan better than the tracked cloud is more likely fitting
+/// the unmapped structure (a look-alike aisle matching moved shelving,
+/// 10²–10⁵ better) than a kidnap. Such a redraw enters as a kidnap
+/// hypothesis with a small prior and takes over only if it explains the
+/// scan better by a likelihood ratio of about 1/weight. A likelihood drop
+/// WITHOUT gated beams (a teleport onto a pose whose scans the map still
+/// explains, or a cloud locked onto a symmetric twin) keeps weight-1
+/// redraws, so kidnap recovery is unchanged. fp16 particle storage rounds
+/// the weight to a subnormal half (~1.01e-6).
 inline constexpr double kArmedRedrawWeight = 1e-6;
 
 /// fp32: float particles, float EDT.
@@ -269,7 +269,7 @@ class ParticleFilter {
                   philox::uniform(r[3], -kPi, kPi), 1.0);
           }
         });
-    st_.estimate.valid = false;
+    start_fresh_set();
   }
 
   /// Provides (or replaces) the free-space support used by recovery
@@ -296,7 +296,7 @@ class ParticleFilter {
                   wrap_pi(mean.yaw + sigma_yaw * g.g2), 1.0);
           }
         });
-    st_.estimate.valid = false;
+    start_fresh_set();
   }
 
   /// Phase 1 — motion update. `delta` is the odometry motion since the
@@ -387,6 +387,14 @@ class ParticleFilter {
     const std::uint64_t draw_step = st_.step++;
     st_.monitor.last_inject_p = 0.0;
     last_resample_drew_ = false;
+    // The scan contradicted the map at the estimate on this or the
+    // previous correction (see kArmedRedrawWeight).
+    const bool contradicted =
+        st_.workload.gated_beams > 0 || st_.prev_gated;
+    st_.prev_gated = st_.workload.gated_beams > 0;
+    const double prior_mass =
+        static_cast<double>(n) - st_.redraw_deficit;
+    st_.redraw_deficit = 0.0;
 
     // Step 1 (parallel): per-chunk weight sums — these are the partial
     // sums the paper stores during weight normalization. The squared sums
@@ -443,20 +451,22 @@ class ParticleFilter {
     }
 
     // Augmented-MCL likelihood monitoring: compare the short- and
-    // long-term averages of the per-particle likelihood (weights are 1
-    // after each resample, so total/n is the mean observation
-    // likelihood). The observation kernel already normalized every factor
-    // by its per-beam maximum, so total/n is directly comparable across
-    // beam counts — no pow(per_beam_max, beams) divisor, whose underflow
-    // for large beam counts used to turn w_avg into inf/NaN and silently
-    // disable (or saturate) recovery injection.
+    // long-term averages of the per-particle likelihood. The weights the
+    // observation multiplied summed to prior_mass (n, less the shortfall
+    // of the last resample's low-weight redraws), so total/prior_mass is
+    // the mean observation likelihood under the prior. The observation
+    // kernel already normalized every factor by its per-beam maximum, so
+    // that mean is directly comparable across beam counts — no
+    // pow(per_beam_max, beams) divisor, whose underflow for large beam
+    // counts used to turn w_avg into inf/NaN and silently disable (or
+    // saturate) recovery injection.
     // Gated beams contribute nothing to the weights, so an update whose
     // every beam was gated carries no observation information — the
     // monitor must not mistake it for evidence (in either direction).
     double inject_p = 0.0;
     if (config_.enable_injection && !support_.empty() &&
         st_.workload.beams > st_.workload.gated_beams) {
-      const double w_avg = total / static_cast<double>(n);
+      const double w_avg = total / prior_mass;
       if (st_.monitor.w_slow <= 0.0) {
         st_.monitor.w_slow = w_avg;
         st_.monitor.w_fast = w_avg;
@@ -493,13 +503,17 @@ class ParticleFilter {
     // Step 3 (parallel): each chunk draws the new particles whose arrows
     // fall inside its weight span, writing into the double buffer. A
     // recovery fraction of slots receives uniform redraws instead, at
-    // the kidnap-prior weight while the novelty gate is armed.
+    // the kidnap-prior weight while the armed gate sees unmapped
+    // surfaces.
     const double inject_weight =
-        st_.workload.novelty_armed ? kArmedRedrawWeight : 1.0;
+        st_.workload.novelty_armed && contradicted ? kArmedRedrawWeight
+                                                   : 1.0;
+    std::array<std::size_t, kMaxChunks> redraw_counts{};
     executor_->for_chunks(
         n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           std::size_t arrow = arrow_begin(chunk);
           const std::size_t arrow_end = arrow_begin(chunk + 1);
+          std::size_t redraws = 0;
           std::size_t src = begin;
           double cum = st_.chunk_prefix[chunk] +
                        static_cast<double>(static_cast<float>(
@@ -513,14 +527,23 @@ class ParticleFilter {
             }
             if (inject_p > 0.0 &&
                 inject(arrow, inject_p, inject_weight, draw_step)) {
+              ++redraws;
               continue;
             }
             st_.back_buffer.copy_from(st_.particles, arrow, src);
             st_.back_buffer.weight[arrow] = Scalar(1.0f);
           }
+          redraw_counts[chunk] = redraws;
         });
     st_.particles.swap(st_.back_buffer);
     last_resample_drew_ = true;
+    if (inject_weight < 1.0) {
+      std::size_t redraws = 0;
+      for (std::size_t c = 0; c < chunks; ++c) redraws += redraw_counts[c];
+      const double stored = static_cast<double>(
+          static_cast<float>(Scalar(static_cast<float>(inject_weight))));
+      st_.redraw_deficit = static_cast<double>(redraws) * (1.0 - stored);
+    }
   }
 
   /// Phase 4 — pose computation: weighted average over all particles
@@ -589,9 +612,10 @@ class ParticleFilter {
   }
 
   /// KLD-sampling adaptation (MclConfig::adaptive_particles): after a
-  /// correction whose resample actually drew (weights are uniformly 1,
-  /// so the set can be re-sized without re-weighting), shrink or grow the
-  /// active count toward the KLD bound for the occupied (x, y, yaw) bins.
+  /// correction whose resample actually drew (weights are 1, or a
+  /// recovery redraw's kArmedRedrawWeight, so the set can be re-sized
+  /// without re-weighting), shrink or grow the active count toward the
+  /// KLD bound for the occupied (x, y, yaw) bins.
   /// A recovery injection snaps straight back to the full budget — a
   /// kidnapped filter must not fight with a shrunken set. Counts move in
   /// arena size classes; shrinking at most one class per correction
@@ -629,6 +653,8 @@ class ParticleFilter {
     w.f64(st_.monitor.w_fast);
     w.f64(st_.monitor.last_inject_p);
     w.u64(st_.blind_streak);
+    w.boolean(st_.prev_gated);
+    w.f64(st_.redraw_deficit);
     write_array(w, st_.particles.x);
     write_array(w, st_.particles.y);
     write_array(w, st_.particles.yaw);
@@ -657,6 +683,8 @@ class ParticleFilter {
     st_.monitor.w_fast = r.f64();
     st_.monitor.last_inject_p = r.f64();
     st_.blind_streak = static_cast<std::size_t>(r.u64());
+    st_.prev_gated = r.boolean();
+    st_.redraw_deficit = r.f64();
     resize_storage(n);
     read_array(r, st_.particles.x);
     read_array(r, st_.particles.y);
@@ -1056,8 +1084,24 @@ class ParticleFilter {
       }
     }
     // Every slot was copied with its weight: 1 from the resample that
-    // preceded adaptation, or an armed recovery redraw's
-    // kArmedRedrawWeight, which tiling must not reset.
+    // preceded adaptation, or a recovery redraw's kArmedRedrawWeight,
+    // which tiling must not reset. The monitor's prior mass follows the
+    // re-sized set.
+    if (st_.redraw_deficit > 0.0) {
+      double mass = 0.0;
+      for (std::size_t i = 0; i < target; ++i) {
+        mass += static_cast<double>(
+            static_cast<float>(st_.particles.weight[i]));
+      }
+      st_.redraw_deficit = static_cast<double>(target) - mass;
+    }
+  }
+
+  /// A freshly initialized set: every weight 1, no estimate yet.
+  void start_fresh_set() {
+    st_.estimate.valid = false;
+    st_.prev_gated = false;
+    st_.redraw_deficit = 0.0;
   }
 
   /// Source index for re-sizing: shrink = even stride over the old set

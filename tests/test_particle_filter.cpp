@@ -836,12 +836,12 @@ TEST(ParticleFilter, GenuineKidnappingStillTriggersInjection) {
   EXPECT_LE(max_inject, cfg.injection_max_fraction);
 }
 
-// The weight half of the same teleport: while the gate is armed every
-// recovery redraw enters at kArmedRedrawWeight (a kidnap hypothesis with
-// a small prior, so a stale map cannot hand the filter to a look-alike
-// place), and every resampled particle at 1. With gating off the redraws
-// keep weight 1.
-TEST(ParticleFilter, ArmedRecoveryRedrawsEnterAtTheKidnapPriorWeight) {
+// The weight half of the same teleport: a likelihood drop that no gated
+// beam explains is a kidnap signature, so the recovery redraws keep weight
+// 1 even while the gate is armed. When the armed gate also excludes beams
+// (surfaces the map does not know: a stale map), each redraw enters at
+// kArmedRedrawWeight instead, a kidnap hypothesis with a small prior.
+TEST(ParticleFilter, RecoveryRedrawsTakeTheKidnapPriorOnlyOnAContradictedMap) {
   const auto grid = test_grid();
   const map::DistanceMap dm(grid, 1.5);
   const auto support = grid.free_cell_centers();
@@ -850,14 +850,11 @@ TEST(ParticleFilter, ArmedRecoveryRedrawsEnterAtTheKidnapPriorWeight) {
   cfg.sigma_odom_xy = 0.0;
   cfg.sigma_odom_yaw = 0.0;
   cfg.enable_novelty_gating = true;
-  MclConfig ungated_cfg = cfg;
-  ungated_cfg.enable_novelty_gating = false;
 
-  ParticleFilter<Fp32Traits> gated(dm, cfg, exec);
-  ParticleFilter<Fp32Traits> ungated(dm, ungated_cfg, exec);
+  ParticleFilter<Fp32Traits> teleported(dm, cfg, exec);
+  ParticleFilter<Fp32Traits> stale(dm, cfg, exec);
   const std::vector<Beam> matched{beam_at(0.0, 1.0), beam_at(kPi, 1.0)};
-  const std::vector<Beam> teleported{beam_at(0.0, 2.5), beam_at(kPi, 2.5)};
-  for (auto* pf : {&gated, &ungated}) {
+  for (auto* pf : {&teleported, &stale}) {
     pf->init_gaussian({1.0, 1.0, 0.0}, 0.0, 0.0);
     pf->set_injection_support(support, 0.025);
     for (int i = 0; i < 4; ++i) {
@@ -867,39 +864,120 @@ TEST(ParticleFilter, ArmedRecoveryRedrawsEnterAtTheKidnapPriorWeight) {
     }
   }
 
+  // Both scans read the walls 2.5 m away; the stale one also sees an
+  // unmapped surface 1 m to the left, where the map has free space up to
+  // the wall at y = 4.
+  const std::vector<Beam> far{beam_at(0.0, 2.5), beam_at(kPi, 2.5)};
+  const std::vector<Beam> far_and_novel{beam_at(0.0, 2.5), beam_at(kPi, 2.5),
+                                        beam_at(kPi / 2, 1.0)};
   const float prior = static_cast<float>(kArmedRedrawWeight);
   ASSERT_LT(prior, 1.0f);
-  std::size_t gated_redraws = 0;
-  std::size_t ungated_injections = 0;
+  // Weight-1 redraws spread the teleported cloud, which disarms the gate
+  // after a few corrections; only the armed ones are judged.
+  std::size_t armed_teleport_injections = 0;
+  std::size_t stale_redraws = 0;
   for (int i = 0; i < 8; ++i) {
-    gated.observation_update(teleported);
-    ASSERT_TRUE(gated.workload().novelty_armed) << "update " << i;
-    gated.resample();
-    for (const auto& p : gated.particles()) {
-      const float w = static_cast<float>(p.weight);
-      ASSERT_TRUE(w == 1.0f || w == prior) << "update " << i << " w " << w;
-      if (w == prior) ++gated_redraws;
+    teleported.observation_update(far);
+    ASSERT_EQ(teleported.workload().gated_beams, 0u) << "update " << i;
+    const bool armed = teleported.workload().novelty_armed;
+    teleported.resample();
+    if (armed && teleported.injection_monitor().last_inject_p > 0.0) {
+      ++armed_teleport_injections;
     }
-    if (gated.injection_monitor().last_inject_p == 0.0) {
-      EXPECT_EQ(gated_redraws, 0u) << "update " << i;
-    }
-    gated.compute_pose();
-
-    ungated.observation_update(teleported);
-    ungated.resample();
-    if (ungated.injection_monitor().last_inject_p > 0.0) ++ungated_injections;
-    for (const auto& p : ungated.particles()) {
+    for (const auto& p : teleported.particles()) {
       ASSERT_EQ(static_cast<float>(p.weight), 1.0f) << "update " << i;
     }
-    ungated.compute_pose();
+    teleported.compute_pose();
+
+    stale.observation_update(far_and_novel);
+    ASSERT_TRUE(stale.workload().novelty_armed) << "update " << i;
+    ASSERT_EQ(stale.workload().gated_beams, 1u) << "update " << i;
+    stale.resample();
+    std::size_t redraws = 0;
+    for (const auto& p : stale.particles()) {
+      const float w = static_cast<float>(p.weight);
+      ASSERT_TRUE(w == 1.0f || w == prior) << "update " << i << " w " << w;
+      if (w == prior) ++redraws;
+    }
+    if (stale.injection_monitor().last_inject_p == 0.0) {
+      EXPECT_EQ(redraws, 0u) << "update " << i;
+    }
+    stale_redraws += redraws;
+    stale.compute_pose();
   }
-  EXPECT_GT(gated_redraws, 0u);
-  EXPECT_GT(ungated_injections, 0u);
+  EXPECT_GT(armed_teleport_injections, 0u);
+  EXPECT_GT(stale_redraws, 0u);
+}
+
+// The Augmented-MCL monitor must read the mean observation likelihood
+// under the prior the resample left. Low-weight redraws shrink that
+// prior's mass below the particle count: dividing by the count would read
+// a steady likelihood as a drop of up to the injected share, and the
+// monitor would keep injecting on evidence that never changed.
+TEST(ParticleFilter, MonitorReadsSteadyLikelihoodAfterLowWeightRedraws) {
+  const auto grid = test_grid();
+  const map::DistanceMap dm(grid, 1.5);
+  const auto support = grid.free_cell_centers();
+  SerialExecutor exec;
+  MclConfig cfg = small_config(256);
+  cfg.sigma_odom_xy = 0.0;
+  cfg.sigma_odom_yaw = 0.0;
+  cfg.enable_novelty_gating = true;
+  ParticleFilter<Fp32Traits> pf(dm, cfg, exec);
+  pf.init_gaussian({1.0, 1.0, 0.0}, 0.0, 0.0);
+  pf.set_injection_support(support, 0.025);
+
+  // Steady evidence with one gated beam: every particle sits at the same
+  // pose, so each armed correction reads the same likelihood. A reading
+  // is recovered from the step it moved w_fast by.
+  const auto reading = [&](const InjectionMonitor& before) {
+    return before.w_fast + (pf.injection_monitor().w_fast - before.w_fast) /
+                               cfg.injection_alpha_fast;
+  };
+  const std::vector<Beam> matched{beam_at(0.0, 1.0), beam_at(kPi, 1.0)};
+  const std::vector<Beam> steady{beam_at(0.0, 1.0), beam_at(kPi, 1.0),
+                                 beam_at(kPi / 2, 1.0)};
+  pf.observation_update(matched);
+  pf.resample();
+  pf.compute_pose();
+  double steady_likelihood = 0.0;
+  for (int i = 0; i < 4; ++i) {
+    const InjectionMonitor before = pf.injection_monitor();
+    pf.observation_update(steady);
+    ASSERT_EQ(pf.workload().gated_beams, 1u);
+    pf.resample();
+    ASSERT_EQ(pf.injection_monitor().last_inject_p, 0.0);
+    steady_likelihood = reading(before);
+    pf.compute_pose();
+  }
+  ASSERT_GT(steady_likelihood, 0.0);
+
+  // One drop injects redraws at the kidnap prior…
+  const std::vector<Beam> drop{beam_at(0.0, 2.5), beam_at(kPi, 2.5),
+                               beam_at(kPi / 2, 1.0)};
+  pf.observation_update(drop);
+  pf.resample();
+  ASSERT_GT(pf.injection_monitor().last_inject_p, 0.0);
+  const float prior = static_cast<float>(kArmedRedrawWeight);
+  std::size_t redraws = 0;
+  for (const auto& p : pf.particles()) {
+    redraws += static_cast<float>(p.weight) == prior ? 1 : 0;
+  }
+  ASSERT_GT(redraws, 0u);
+  pf.compute_pose();
+
+  // …and the next steady correction must read the steady likelihood,
+  // not the likelihood less the redraws' share of the particle count.
+  const InjectionMonitor before = pf.injection_monitor();
+  pf.observation_update(steady);
+  pf.resample();
+  EXPECT_NEAR(reading(before), steady_likelihood, 1e-4 * steady_likelihood)
+      << redraws << " redraws of " << pf.size();
 }
 
 // Adaptive counts: the injection that snaps a shrunken set back to the
-// full budget tiles the particles, and the armed redraws must keep their
-// prior weight through the tiling.
+// full budget tiles the particles, and the kidnap-prior redraws must keep
+// their weight through the tiling.
 TEST(ParticleFilter, AdaptiveSnapBackKeepsArmedRedrawWeights) {
   const auto grid = test_grid();
   const map::DistanceMap dm(grid, 1.5);
@@ -924,10 +1002,11 @@ TEST(ParticleFilter, AdaptiveSnapBackKeepsArmedRedrawWeights) {
   ASSERT_LT(pf.size(), cfg.num_particles);
 
   const float prior = static_cast<float>(kArmedRedrawWeight);
-  const std::vector<Beam> teleported{beam_at(0.0, 2.5), beam_at(kPi, 2.5)};
+  const std::vector<Beam> far_and_novel{beam_at(0.0, 2.5), beam_at(kPi, 2.5),
+                                        beam_at(kPi / 2, 1.0)};
   bool snapped = false;
   for (int i = 0; i < 8 && !snapped; ++i) {
-    pf.observation_update(teleported);
+    pf.observation_update(far_and_novel);
     ASSERT_TRUE(pf.workload().novelty_armed) << "update " << i;
     const std::size_t before = pf.size();
     pf.resample();

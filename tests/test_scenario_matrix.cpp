@@ -662,8 +662,9 @@ TEST(CrowdStats, OfficeCorridorPacingSuccessRate) {
 // The ROADMAP's open loop-corridor + pacing-walker item, pinned as an
 // explicit EXPECTED-FAILURE gate: NEITHER model tracked this regime
 // (observed 0/5 mixture passes, 5/5 baseline failures while tuning; since
-// armed recovery redraws carry the kidnap-prior weight, the mixture
-// passes about 7 of 20 trials, so this bound is close to flipping), and
+// recovery redraws on a contradicted map carry the kidnap-prior weight,
+// the mixture passes about 3 of 10 trials, so this bound is close to
+// flipping), and
 // any future fix — odometry-trust scheduling, bay-depth features in the
 // rear sensor's longitudinal scoring — will flip these bounds loudly
 // instead of improving invisibly. If this test "fails" because
@@ -753,6 +754,65 @@ TEST(StaleMapStats, WarehouseLightStalenessIsSurvivable) {
   // at this level (the heavy families above carry that claim).
   EXPECT_GE(o.mixture_pass, 6u) << "of " << o.seeds;
   EXPECT_GE(o.baseline_fail, 1u) << "of " << o.seeds;
+}
+
+// ---- Kidnap-recovery statistical gate (ctest label: stats) --------------
+//
+// The mixture model with novelty gating must still re-localize after a
+// teleport: recovery redraws that a stale map would let hijack the
+// filter are down-weighted (kArmedRedrawWeight), and this gate keeps
+// that from costing kidnap recovery. Each trial flies the tier-1
+// kidnapped_relocalization legs with its own (data_seed, mcl_seed) and is
+// judged like that row, on the post-teleport segment. Tuning
+// observations over trials 0–19: mixture + gating 20/20, the default
+// model 20/20; weighting every armed redraw at the prior (not only on a
+// contradicted map) relocalized 11/20 and fails this bound. At a true
+// success rate of 0.95 the chance of dipping below 13/16 is < 1 %.
+
+Scenario kidnap_mixture() {
+  Scenario s;
+  s.name = "kidnapped_mixture_gating";
+  s.init = Init::kKidnapped;
+  s.plan = 0;
+  s.kidnap_plan = 2;
+  s.ate_bound_m = 0.5;
+  s.z_short = 0.5;
+  s.novelty_gating = true;
+  return s;
+}
+
+std::size_t run_kidnap_battery(const Scenario& proto, std::size_t seeds,
+                               std::uint64_t first_data_seed,
+                               std::uint64_t first_mcl_seed) {
+  core::SerialExecutor exec;
+  const ScenarioWorld world = make_world(proto);
+  const map::OccupancyGrid grid =
+      sim::rasterize_environment(world.env, 0.05, 0.01);
+  std::size_t relocalized = 0;
+  for (std::size_t i = 0; i < seeds; ++i) {
+    Scenario s = proto;
+    s.data_seed = first_data_seed + i;
+    s.mcl_seed = first_mcl_seed + i;
+    const ScenarioResult r =
+        replay_scenario(s, grid, make_dataset(s, world), exec);
+    std::vector<eval::ErrorSample> post;
+    for (const eval::ErrorSample& e : r.errors) {
+      if (e.t > r.leg1_duration_s) post.push_back(e);
+    }
+    if (post.size() <= 20) continue;
+    const eval::RunMetrics m = eval::evaluate_run(post);
+    if (m.converged && m.success && m.ate_m < s.ate_bound_m &&
+        post.back().pos_error < s.final_error_bound_m) {
+      ++relocalized;
+    }
+  }
+  return relocalized;
+}
+
+TEST(KidnapStats, MixtureGatingRelocalizesAfterTeleport) {
+  const std::size_t relocalized =
+      run_kidnap_battery(kidnap_mixture(), 16, 100, 7);
+  EXPECT_GE(relocalized, 13u) << "of 16";
 }
 
 // Run-to-run determinism: the same scenario executed twice in the same
